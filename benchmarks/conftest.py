@@ -14,6 +14,7 @@ Run with ``pytest benchmarks/ --benchmark-only -s`` to see the tables.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -45,10 +46,12 @@ def current_commit() -> str:
 def emit_json(payload: dict, name: str) -> None:
     """Persist a machine-readable benchmark record under results/.
 
-    Each record is stamped with the producing commit so successive runs
-    form a perf trajectory that tooling can diff across revisions.
+    Each record is stamped with the producing commit and the machine's CPU
+    count so successive runs form a perf trajectory that tooling can diff
+    across revisions (and discount across machines).
     """
-    record = {"commit": current_commit(), **payload}
+    record = {"commit": current_commit(), "cpu_count": os.cpu_count(),
+              **payload}
     print()
     print(f"{name}: {json.dumps(record, sort_keys=True)}")
     try:

@@ -93,30 +93,18 @@ class BatchCapable:
     bit**, and leave the predictor tables in the same final state.  The
     batched engine (:class:`repro.sim.engine.BatchedEngine`) verifies
     :meth:`batch_supported` first and falls back to the scalar engine when a
-    configuration cannot honor the equivalence guarantee (e.g. shared
-    hysteresis, a non-vectorizable index scheme).
+    configuration cannot honor the equivalence guarantee (e.g. a
+    non-vectorized index scheme or an extreme hysteresis sharing ratio).
 
-    Implementations typically precompute their table-index streams with the
+    Implementations precompute their table-index streams with the
     vectorized helpers in :mod:`repro.indexing.fold` /
     :mod:`repro.indexing.skew`, then either resolve counter updates with
     :meth:`repro.common.counters.SplitCounterArray.batch_access` (single
-    independent table) or replay the precomputed indices through a tight
-    scalar loop (multiple update-coupled tables).
+    independent table) or replay the precomputed indices in stream order
+    (multiple update-coupled tables): through the scalar reference when a
+    recording telemetry sink is attached, otherwise through at most one
+    fast kernel.
     """
-
-    #: Replay-kernel selector: ``"fast"`` lets the predictor use its
-    #: quickest bit-identical replay path; ``"compat"`` pins the original
-    #: accounting path (the one that records per-bank telemetry), which is
-    #: what the ``"batched-compat"`` engine uses to reproduce pre-fabric
-    #: behaviour for honest benchmarking.  Predictors with a single replay
-    #: path may ignore it.
-    _replay_kernel: str = "fast"
-
-    def set_replay_kernel(self, kernel: str) -> None:
-        """Select the replay kernel for subsequent :meth:`batch_access`
-        calls.  Every kernel is bit-identical by contract; the choice only
-        affects throughput and telemetry detail."""
-        self._replay_kernel = kernel
 
     def batch_supported(self) -> bool:
         """Whether this instance's configuration can run batched."""

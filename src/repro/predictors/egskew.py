@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.common.bitops import mask
 from repro.common.counters import SplitCounterArray
-from repro.common.replay import REPLAY_CHUNK, uncoupled_positions
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
@@ -77,11 +76,14 @@ class EGskewPredictor(BatchCapable, Predictor):
         return votes >= 2
 
     def update(self, vector: InfoVector, taken: bool) -> None:
-        indices = self._indices(vector)
-        self._train(indices, taken)
+        self._access(self._indices(vector), taken)
 
     def access(self, vector: InfoVector, taken: bool) -> bool:
-        indices = self._indices(vector)
+        return self._access(self._indices(vector), taken)
+
+    def _access(self, indices, taken: bool) -> bool:
+        """The scalar reference: read the three banks, train, and return the
+        majority prediction."""
         bim_i, g0_i, g1_i = indices
         p_bim = self.bim.predict(bim_i)
         p_g0 = self.g0.predict(g0_i)
@@ -89,13 +91,6 @@ class EGskewPredictor(BatchCapable, Predictor):
         prediction = (int(p_bim) + int(p_g0) + int(p_g1)) >= 2
         self._train_with_reads(indices, (p_bim, p_g0, p_g1), prediction, taken)
         return prediction
-
-    def _train(self, indices, taken: bool) -> None:
-        bim_i, g0_i, g1_i = indices
-        reads = (self.bim.predict(bim_i), self.g0.predict(g0_i),
-                 self.g1.predict(g1_i))
-        prediction = sum(map(int, reads)) >= 2
-        self._train_with_reads(indices, reads, prediction, taken)
 
     def batch_indices(self, batch: VectorBatch) -> tuple[np.ndarray,
                                                          np.ndarray,
@@ -109,77 +104,16 @@ class EGskewPredictor(BatchCapable, Predictor):
         return (bim, skew_index_vec(1, g0_word, self.index_bits),
                 skew_index_vec(2, g1_word, self.index_bits))
 
-    def batch_access(self, batch: VectorBatch,
-                     chunk: int = REPLAY_CHUNK) -> np.ndarray:
-        """Batched replay: chunked, serializing only coupled positions.
-
-        The index streams (the pure, expensive part) are precomputed
-        vectorized.  The partial-update policy couples the three banks
-        through the majority vote, but only between positions that actually
-        share a counter entry: within each chunk, positions unique in all
-        three banks replay in one vectorized pass and the colliding
-        remainder replays scalar in stream order (see
-        :mod:`repro.common.replay`).
-        """
-        banks = (self.bim, self.g0, self.g1)
-        streams = [stream.astype(np.int64, copy=False)
-                   & np.int64(bank.size - 1)
-                   for stream, bank in zip(self.batch_indices(batch), banks)]
-        takens = batch.takens
-        n = len(batch)
-        predictions = np.empty(n, dtype=np.bool_)
-        for lo in range(0, n, max(chunk, 1)):
-            hi = min(lo + max(chunk, 1), n)
-            self._replay_chunk([stream[lo:hi] for stream in streams],
-                               takens[lo:hi], predictions[lo:hi])
-        return predictions
-
-    def _replay_chunk(self, indices: list[np.ndarray], takens: np.ndarray,
-                      out: np.ndarray) -> None:
-        banks = (self.bim, self.g0, self.g1)
-        uncoupled = uncoupled_positions(*(
-            stream & np.int64(bank.hysteresis_size - 1)
-            for stream, bank in zip(indices, banks)))
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            telemetry.count("replay.positions", len(takens))
-            telemetry.count("replay.coupled",
-                            len(takens) - int(np.count_nonzero(uncoupled)))
-        if uncoupled.any():
-            selected = [stream[uncoupled] for stream in indices]
-            taken_u = takens[uncoupled]
-            reads = [bank.predict_many(stream)
-                     for bank, stream in zip(banks, selected)]
-            prediction = (reads[0].astype(np.int8) + reads[1]
-                          + reads[2]) >= 2
-            if self.update_policy == "total":
-                update = np.ones(len(taken_u), dtype=np.bool_)
-            else:
-                update = prediction != taken_u
-            for bank, stream, read in zip(banks, selected, reads):
-                bank.train_many_unique(stream, taken_u,
-                                       strengthen=~update & (read == taken_u),
-                                       update=update)
-            out[uncoupled] = prediction
-        coupled = np.nonzero(~uncoupled)[0]
-        if not len(coupled):
-            return
-        train = self._train_with_reads
-        bim_predict = self.bim.predict
-        g0_predict = self.g0.predict
-        g1_predict = self.g1.predict
-        for position, bim_i, g0_i, g1_i, taken in zip(
-                coupled.tolist(), indices[0][coupled].tolist(),
-                indices[1][coupled].tolist(), indices[2][coupled].tolist(),
-                takens[coupled].tolist()):
-            p_bim = bim_predict(bim_i)
-            p_g0 = g0_predict(g0_i)
-            p_g1 = g1_predict(g1_i)
-            prediction = (int(p_bim) + int(p_g0) + int(p_g1)) >= 2
-            train((bim_i, g0_i, g1_i), (p_bim, p_g0, p_g1), prediction,
-                  taken)
-            out[position] = prediction
-        return
+    def batch_access(self, batch: VectorBatch) -> np.ndarray:
+        """Batched replay: the index streams (the pure, expensive part) are
+        precomputed vectorized; the partial update couples the three banks
+        through the majority vote, so every position then replays through
+        the scalar reference :meth:`_access`, in stream order."""
+        access = self._access
+        return np.array(
+            [access(indices, taken) for indices, taken in zip(
+                zip(*(stream.tolist() for stream in self.batch_indices(batch))),
+                batch.takens.tolist())], dtype=np.bool_)
 
     def _train_with_reads(self, indices, reads, prediction: bool,
                           taken: bool) -> None:

@@ -55,10 +55,8 @@ def simulate(predictor: Predictor, trace: Trace,
         count (the tables still train).  The paper uses no warmup (all
         entries initialised weakly not-taken); kept for sensitivity studies.
     engine:
-        Simulation engine: an instance, a registered name (``"scalar"``,
-        ``"batched"``, ``"batched-compat"`` — the batched engine pinned to
-        the original replay kernel, kept for honest before/after
-        benchmarking), or ``None`` for the ``REPRO_SIM_ENGINE`` environment
+        Simulation engine: an instance, a registered name (``"scalar"`` or
+        ``"batched"``), or ``None`` for the ``REPRO_SIM_ENGINE`` environment
         default (scalar).  Engines are count-equivalent; they differ only in
         throughput.
     use_cache:

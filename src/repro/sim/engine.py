@@ -10,10 +10,11 @@ simulation.  This module makes that hot path a swappable component:
   in via :class:`~repro.predictors.base.BatchCapable` and providers that can
   materialize their information vectors trace-side
   (:meth:`~repro.history.providers.HistoryProvider.materialize`), the whole
-  trace's index streams are precomputed over numpy arrays and the counter
-  traffic is resolved in vectorized passes (see
-  :meth:`repro.common.counters.SplitCounterArray.batch_access`), falling
-  back to scalar replay only where true sequential dependence exists.
+  trace's index streams are precomputed over numpy arrays.  Single-table
+  counter traffic resolves in vectorized passes (see
+  :meth:`repro.common.counters.SplitCounterArray.batch_access`); the
+  update-coupled multi-table predictors (e-gskew, 2Bc-gskew) replay the
+  precomputed indices in stream order.
 
 The contract is strict: ``BatchedEngine`` must produce **bit-identical**
 ``mispredictions``/``branches`` to ``ScalarEngine`` (and equivalent final
@@ -138,17 +139,16 @@ class BatchedEngine(SimulationEngine):
     The provider materializes the whole trace's information vectors as
     numpy columns (history self-dependence is a pure function of earlier
     trace outcomes, so it is resolved trace-side); the predictor then
-    replays the batch with vectorized index computation and chunked numpy
-    counter passes.  Configurations outside the batchable envelope fall back
-    to :class:`ScalarEngine` — or raise if ``strict``.
+    replays the batch with vectorized index computation (see
+    :meth:`~repro.predictors.base.BatchCapable.batch_access` for how the
+    counter traffic replays).  Configurations outside the batchable
+    envelope fall back to :class:`ScalarEngine` — or raise if ``strict``.
     """
 
     name = "batched"
 
-    def __init__(self, strict: bool = False,
-                 replay_kernel: str = "fast") -> None:
+    def __init__(self, strict: bool = False) -> None:
         self.strict = strict
-        self.replay_kernel = replay_kernel
         self._fallback = ScalarEngine()
 
     def _explain_fallback(self, predictor: Predictor,
@@ -188,7 +188,6 @@ class BatchedEngine(SimulationEngine):
                                           warmup_branches, telemetry=sink)
             if sink.enabled:
                 predictor.attach_telemetry(sink)
-            predictor.set_replay_kernel(self.replay_kernel)
             try:
                 with sink.span("replay"):
                     predictions = predictor.batch_access(batch)
@@ -214,21 +213,9 @@ class BatchedEngine(SimulationEngine):
         )
 
 
-def _batched_compat_engine() -> BatchedEngine:
-    """The batched engine pinned to the original (pre-fabric) replay
-    kernel.  Count-identical to ``"batched"`` by contract; it exists so
-    benchmarks can measure the fast kernel against an honest reproduction
-    of the previous hot path, and keys result-cache entries under its own
-    engine name for provenance."""
-    engine = BatchedEngine(replay_kernel="compat")
-    engine.name = "batched-compat"
-    return engine
-
-
 ENGINES: dict[str, Callable[[], SimulationEngine]] = {
     "scalar": ScalarEngine,
     "batched": BatchedEngine,
-    "batched-compat": _batched_compat_engine,
 }
 
 

@@ -113,8 +113,9 @@ def scalar_walk(predictor, trace, provider, sink) -> np.ndarray:
     return np.asarray(predictions, dtype=np.bool_)
 
 
-def batched_walk(predictor, trace, provider, sink) -> np.ndarray:
-    """The strict batched replay over the materialized vector batch."""
+def reference_walk(predictor, trace, provider, sink) -> np.ndarray:
+    """The strict batched replay with a recording sink attached, which
+    routes every position through the predictor's scalar reference path."""
     batch = provider.materialize(trace)
     assert batch is not None, "provider fell out of the batchable envelope"
     predictor.attach_telemetry(sink)
@@ -122,12 +123,10 @@ def batched_walk(predictor, trace, provider, sink) -> np.ndarray:
 
 
 def fast_walk(predictor, trace, provider) -> np.ndarray:
-    """The batched replay under the fast kernel (telemetry disabled — a
-    recording sink forces the compat kernel, so this arm runs without one,
-    exactly like production sweeps)."""
+    """The strict batched replay with no sink attached: the fast kernel,
+    exactly like production sweeps."""
     batch = provider.materialize(trace)
     assert batch is not None, "provider fell out of the batchable envelope"
-    predictor.set_replay_kernel("fast")
     return predictor.batch_access(batch)
 
 
@@ -152,14 +151,13 @@ def assert_equivalent(make_predictor, trace, make_provider) -> None:
     reference = make_predictor()
     candidate = make_predictor()
     expected = scalar_walk(reference, trace, make_provider(), scalar_sink)
-    actual = batched_walk(candidate, trace, make_provider(), batched_sink)
+    actual = reference_walk(candidate, trace, make_provider(), batched_sink)
 
     np.testing.assert_array_equal(expected, actual)
-    _assert_same_state(reference, candidate, "compat kernel")
+    _assert_same_state(reference, candidate, "reference path")
 
     # Engine-consistent telemetry: logical bank traffic, arbitration and
-    # update-policy event counts must match key-for-key (replay.* is
-    # batched-only bookkeeping and excluded by construction).
+    # update-policy event counts must match key-for-key.
     def comparable(sink):
         return {name: value
                 for name, value in sink.snapshot()["counters"].items()
@@ -167,8 +165,8 @@ def assert_equivalent(make_predictor, trace, make_provider) -> None:
 
     assert comparable(scalar_sink) == comparable(batched_sink)
 
-    # Third arm: the fast replay kernel (what production sweeps run when no
-    # sink is attached) must be bit-identical to the same scalar reference —
+    # Second arm: the fast kernel (what production sweeps run when no sink
+    # is attached) must be bit-identical to the same scalar walk —
     # predictions and final table state both.
     fast = make_predictor()
     np.testing.assert_array_equal(

@@ -45,6 +45,10 @@ PREDICTOR_FACTORIES = {
     "2bc-gskew": lambda: TwoBcGskewPredictor(
         TableConfig(1 << 10, 0), TableConfig(1 << 10, 9),
         TableConfig(1 << 10, 15), TableConfig(1 << 10, 11)),
+    "2bc-gskew-total": lambda: TwoBcGskewPredictor(
+        TableConfig(1 << 10, 0), TableConfig(1 << 10, 9),
+        TableConfig(1 << 10, 15), TableConfig(1 << 10, 11),
+        update_policy="total"),
 }
 
 

@@ -261,14 +261,6 @@ class TestEngineInvariants:
                 >= sink.spans[child]["seconds"]
         assert sink.span_depth == 0
 
-    def test_batched_replay_residue_accounting(self, gcc_trace):
-        sink = Telemetry()
-        result = BatchedEngine(strict=True).run(small_2bcgskew(), gcc_trace,
-                                                telemetry=sink)
-        counters = sink.counters
-        assert counters["replay.positions"] == result.branches
-        assert 0 <= counters["replay.coupled"] <= counters["replay.positions"]
-
     def test_partial_update_suppresses_hysteresis_writes(self, gcc_trace):
         """The Section 4.2 claim, measured: the partial policy issues
         strictly less strength-bit traffic than total update."""
