@@ -2,14 +2,14 @@
 
 The gate this PR ships under: a Table-1-sized EV8 history sweep (>= 12
 points over 4 SPEC95 stand-in traces) through the new ``sweep_parallel`` —
-shared-memory planes, persistent pool, ``(point, trace)`` work units, fast
+shared-memory planes, persistent pool, ``(point, trace)`` work units, native
 replay kernel — must beat an honest reproduction of the pre-fabric
 orchestration (fresh default ``ProcessPoolExecutor``, whole-point tasks
 that pickle every trace and re-materialize its information vectors in
 every task, every replay position through the scalar reference
 ``_read``/``_train``) by **>= 3x end-to-end wall-clock**, while producing
 **bit-identical** ``SweepPoint.per_benchmark`` values.  An ungated
-``legacy_fast`` arm runs the same pre-fabric pool with the fast replay
+``legacy_fast`` arm runs the same pre-fabric pool with the native replay
 kernel, so the record also shows the fabric's own share.  A second, smaller
 pass asserts the merged telemetry counters of a recording parallel sweep
 are identical to the serial fold.
@@ -52,13 +52,10 @@ def table1_predictor(g1_history: int) -> EV8BranchPredictor:
 
 class ReferenceReplayEV8(EV8BranchPredictor):
     """Table 1 EV8 whose batched replay runs every position through the
-    scalar reference ``_read``/``_train`` instead of the fast kernel: the
+    scalar reference ``_read``/``_train`` instead of the native kernel: the
     pre-fabric replay kernel ran at least 97% of positions that way."""
 
-    def _replay_fast(self, bim_idx, g0_idx, g1_idx, meta_idx, takens):
-        access = self._access
-        return [access(indices, bool(taken)) for indices, taken in zip(
-            zip(bim_idx, g0_idx, g1_idx, meta_idx), takens)]
+    _replay_native = EV8BranchPredictor._replay_reference
 
 
 def reference_replay_predictor(g1_history: int) -> ReferenceReplayEV8:

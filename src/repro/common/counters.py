@@ -134,7 +134,7 @@ class SplitCounterArray:
         self.size = size
         self.hysteresis_size = hysteresis_size
         initial = 1 if init_taken else 0
-        self._prediction = bytearray([initial] * size)
+        self._prediction = bytearray([initial]) * size
         # Weak initial state: hysteresis 0 regardless of direction.
         self._hysteresis = bytearray(hysteresis_size)
         self._telemetry: NullTelemetry = NULL_TELEMETRY

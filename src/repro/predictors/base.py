@@ -103,12 +103,20 @@ class BatchCapable:
     independent table) or replay the precomputed indices in stream order
     (multiple update-coupled tables): through the scalar reference when a
     recording telemetry sink is attached, otherwise through at most one
-    fast kernel.
+    fast kernel (for 2Bc-gskew the compiled kernel of
+    :mod:`repro.predictors.native`, whose absence makes
+    :meth:`batch_supported` False).
     """
 
     def batch_supported(self) -> bool:
         """Whether this instance's configuration can run batched."""
         return True
+
+    def batch_fallback_reason(self) -> str:
+        """Why :meth:`batch_supported` is False (the engine's fallback
+        message and ``strict`` error name it)."""
+        return ("e.g. non-vectorized index scheme or an extreme hysteresis "
+                "sharing ratio")
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Predict-then-train over the whole batch; returns predictions."""

@@ -18,6 +18,7 @@ partial vs total update (Section 4.2), and a pluggable index scheme
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +28,18 @@ from repro.common.counters import SplitCounterArray
 from repro.history.providers import InfoVector, VectorBatch
 from repro.indexing.fold import info_word, info_word_vec
 from repro.indexing.skew import skew_index, skew_index_vec
+from repro.predictors import native
 from repro.predictors.base import BatchCapable, Predictor
 
 __all__ = ["TableConfig", "IndexScheme", "SkewedIndexScheme",
            "TwoBcGskewPredictor"]
 
-_REPLAY_CHUNK = 8192
-"""Positions per :meth:`TwoBcGskewPredictor._replay_fast` call.  The kernel
-walks Python lists of the index streams; converting them a chunk at a time
-keeps those lists small and measured faster than one whole-trace list
-(Table 1 gcc at 300k branches, best of 5 on a 2-core Xeon with Python 3.11
-and numpy 2.4: 0.17 s against 0.21 s)."""
+_REPLAY_ARGTYPES = ((ctypes.c_int64,) + (ctypes.c_void_p,) * 13
+                    + (ctypes.c_int64,) * 4 + (ctypes.c_int, ctypes.c_void_p))
+"""Signature of ``replay2bc`` in ``replay2bc.c``: the position count; the
+four index streams, the takens and the eight prediction/hysteresis arrays
+(BIM, G0, G1, Meta); the four hysteresis masks; the partial-update flag;
+the prediction output."""
 
 _PATH_BITS_PER_BLOCK = 2
 """Address bits taken from each previous-block address when the index scheme
@@ -243,7 +245,15 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         return state[-1]
 
     def batch_supported(self) -> bool:
-        return self.index_scheme.vectorized
+        return (self.index_scheme.vectorized
+                and native.kernel("replay2bc", _REPLAY_ARGTYPES) is not None)
+
+    def batch_fallback_reason(self) -> str:
+        if not self.index_scheme.vectorized:
+            return (f"{type(self.index_scheme).__name__} has no "
+                    f"compute_batch")
+        return (f"native replay kernel unavailable: "
+                f"{native.unavailable_reason('replay2bc')}")
 
     def batch_access(self, batch: VectorBatch) -> np.ndarray:
         """Batched replay: vectorized indices, sequential counter replay.
@@ -253,164 +263,55 @@ class TwoBcGskewPredictor(BatchCapable, Predictor):
         the majority vote and the chooser, so the counter traffic then
         replays in stream order through one of two bit-identical paths:
 
-        * with no recording sink, :meth:`_replay_fast`, in chunks of
-          :data:`_REPLAY_CHUNK` positions;
-        * with a recording sink, the scalar reference :meth:`_access` per
-          position, which does all of the per-bank, arbitration and update
-          telemetry accounting.
+        * with no recording sink, :meth:`_replay_native`, the compiled
+          ``replay2bc.c`` kernel, over the whole trace in one call;
+        * with a recording sink, :meth:`_replay_reference`, the scalar
+          reference :meth:`_access` per position, which does all of the
+          per-bank, arbitration and update telemetry accounting.
         """
-        tables = (self.bim, self.g0, self.g1, self.meta)
-        streams = [stream.astype(np.int64, copy=False)
-                   & np.int64(table.size - 1)
-                   for stream, table in zip(
-                       self.index_scheme.compute_batch(batch, self.configs),
-                       tables)]
-        takens = batch.takens
+        streams = self._index_streams(batch)
         if self._telemetry.enabled:
-            access = self._access
-            return np.array(
-                [access(indices, taken) for indices, taken in zip(
-                    zip(*(stream.tolist() for stream in streams)),
-                    takens.tolist())], dtype=np.bool_)
-        n = len(batch)
-        predictions = np.empty(n, dtype=np.bool_)
-        for lo in range(0, n, _REPLAY_CHUNK):
-            hi = lo + _REPLAY_CHUNK
-            predictions[lo:hi] = self._replay_fast(
-                *(stream[lo:hi].tolist() for stream in streams),
-                takens[lo:hi].view(np.uint8).tolist())
-        return predictions
+            return self._replay_reference(streams, batch.takens)
+        return self._replay_native(streams, batch.takens)
 
-    def _replay_fast(self, bim_idx: list, g0_idx: list, g1_idx: list,
-                     meta_idx: list, takens: list) -> list:
-        """The inlined replay kernel: predict-then-train over python lists
-        of precomputed indices (``takens`` as 0/1 ints), touching the four
-        banks' prediction and hysteresis byte arrays directly.
+    def _index_streams(self, batch: VectorBatch) -> list[np.ndarray]:
+        """The BIM, G0, G1 and Meta index streams as ``int64`` arrays
+        masked to each table."""
+        tables = (self.bim, self.g0, self.g1, self.meta)
+        return [stream.astype(np.int64, copy=False) & np.int64(table.size - 1)
+                for stream, table in zip(
+                    self.index_scheme.compute_batch(batch, self.configs),
+                    tables)]
 
-        Every branch below restates one arm of :meth:`_train_partial` /
-        :meth:`_train_total` composed with the
-        :class:`~repro.common.counters.SplitCounterArray` transitions
-        (``strengthen`` on the participating correct side collapses to
-        setting the hysteresis bit because it is only reached with direction
-        == target; every other write is ``_step_towards`` spelled out).  The
-        monolithic loop exists because per-position method dispatch through
-        :meth:`_read`/:meth:`_train` costs ~3x the transitions themselves.
-        Bit-identity against the scalar walk is locked by the differential
-        fuzzer (``tests/test_differential.py``).
-        """
-        bim, g0, g1, meta = self.bim, self.g0, self.g1, self.meta
-        bp, bh = bim._prediction, bim._hysteresis
-        p0, h0 = g0._prediction, g0._hysteresis
-        p1, h1 = g1._prediction, g1._hysteresis
-        mp, mh = meta._prediction, meta._hysteresis
-        bhm = bim.hysteresis_size - 1
-        g0hm = g0.hysteresis_size - 1
-        g1hm = g1.hysteresis_size - 1
-        mhm = meta.hysteresis_size - 1
-        partial = self.update_policy == "partial"
-        res = []
-        append = res.append
-        for bi, g0i, g1i, mi, t in zip(bim_idx, g0_idx, g1_idx, meta_idx,
-                                       takens):
-            p_b = bp[bi]
-            p_0 = p0[g0i]
-            p_1 = p1[g1i]
-            um = mp[mi]
-            maj = 1 if (p_b + p_0 + p_1) >= 2 else 0
-            ov = maj if um else p_b
-            append(ov)
-            if not partial:
-                if p_b != maj:
-                    mt = 1 if maj == t else 0
-                    mhi = mi & mhm
-                    if mp[mi] == mt:
-                        mh[mhi] = 1
-                    elif mh[mhi]:
-                        mh[mhi] = 0
-                    else:
-                        mp[mi] = mt
-                if p_b == t:
-                    bh[bi & bhm] = 1
-                elif bh[bi & bhm]:
-                    bh[bi & bhm] = 0
-                else:
-                    bp[bi] = t
-                if p_0 == t:
-                    h0[g0i & g0hm] = 1
-                elif h0[g0i & g0hm]:
-                    h0[g0i & g0hm] = 0
-                else:
-                    p0[g0i] = t
-                if p_1 == t:
-                    h1[g1i & g1hm] = 1
-                elif h1[g1i & g1hm]:
-                    h1[g1i & g1hm] = 0
-                else:
-                    p1[g1i] = t
-                continue
-            if ov == t:
-                if p_b == p_0 == p_1:
-                    continue  # Rationale 1: leave the counters stealable
-                if p_b != maj:
-                    mt = 1 if maj == t else 0
-                    mhi = mi & mhm
-                    if mp[mi] == mt:
-                        mh[mhi] = 1
-                    elif mh[mhi]:
-                        mh[mhi] = 0
-                    else:
-                        mp[mi] = mt
-                if um:
-                    if p_b == t:
-                        bh[bi & bhm] = 1
-                    if p_0 == t:
-                        h0[g0i & g0hm] = 1
-                    if p_1 == t:
-                        h1[g1i & g1hm] = 1
-                else:
-                    bh[bi & bhm] = 1
-                continue
-            # Misprediction.
-            if p_b != maj:
-                mt = 1 if maj == t else 0
-                mhi = mi & mhm
-                if mp[mi] == mt:
-                    mh[mhi] = 1
-                elif mh[mhi]:
-                    mh[mhi] = 0
-                else:
-                    mp[mi] = mt
-                if mp[mi]:  # the chooser re-read (peek) after its update
-                    if maj == t:
-                        if p_b == t:
-                            bh[bi & bhm] = 1
-                        if p_0 == t:
-                            h0[g0i & g0hm] = 1
-                        if p_1 == t:
-                            h1[g1i & g1hm] = 1
-                        continue
-                elif p_b == t:
-                    bh[bi & bhm] = 1
-                    continue
-            if p_b == t:
-                bh[bi & bhm] = 1
-            elif bh[bi & bhm]:
-                bh[bi & bhm] = 0
-            else:
-                bp[bi] = t
-            if p_0 == t:
-                h0[g0i & g0hm] = 1
-            elif h0[g0i & g0hm]:
-                h0[g0i & g0hm] = 0
-            else:
-                p0[g0i] = t
-            if p_1 == t:
-                h1[g1i & g1hm] = 1
-            elif h1[g1i & g1hm]:
-                h1[g1i & g1hm] = 0
-            else:
-                p1[g1i] = t
-        return res
+    def _replay_reference(self, streams: list[np.ndarray],
+                          takens: np.ndarray) -> np.ndarray:
+        access = self._access
+        return np.array(
+            [access(indices, taken) for indices, taken in zip(
+                zip(*(stream.tolist() for stream in streams)),
+                takens.tolist())], dtype=np.bool_)
+
+    def _replay_native(self, streams: list[np.ndarray],
+                       takens: np.ndarray) -> np.ndarray:
+        """Predict-then-train over the whole trace in one call of the
+        compiled kernel, which writes the four banks' byte arrays in place
+        (passed zero-copy).  ``replay2bc.c`` restates
+        :meth:`_train_partial` / :meth:`_train_total` composed with the
+        :class:`~repro.common.counters.SplitCounterArray` transitions; the
+        differential fuzzer (``tests/test_differential.py``) holds it
+        bit-identical to the scalar walk."""
+        tables = (self.bim, self.g0, self.g1, self.meta)
+        arrays = [(ctypes.c_char * len(data)).from_buffer(data)
+                  for table in tables
+                  for data in (table._prediction, table._hysteresis)]
+        outcomes = np.ascontiguousarray(takens).view(np.uint8)
+        predictions = np.empty(len(outcomes), dtype=np.uint8)
+        native.kernel("replay2bc", _REPLAY_ARGTYPES)(
+            len(outcomes), *(stream.ctypes.data for stream in streams),
+            outcomes.ctypes.data, *arrays,
+            *(table.hysteresis_size - 1 for table in tables),
+            self.update_policy == "partial", predictions.ctypes.data)
+        return predictions.view(np.bool_)
 
     # -- training ------------------------------------------------------------
 

@@ -157,8 +157,7 @@ class BatchedEngine(SimulationEngine):
             return f"{predictor.name} does not implement BatchCapable"
         if not predictor.batch_supported():
             return (f"{predictor.name} configuration cannot run batched "
-                    f"(e.g. non-vectorized index scheme or an extreme "
-                    f"hysteresis sharing ratio)")
+                    f"({predictor.batch_fallback_reason()})")
         return None
 
     def run(self, predictor: Predictor, trace: Trace,

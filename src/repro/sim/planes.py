@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import itertools
 import os
 import signal
 import threading
@@ -73,6 +74,12 @@ and satisfies any dtype's alignment requirement)."""
 
 _BATCH_COLUMNS = ("history", "address", "branch_pc", "path", "takens",
                   "bank")
+
+_SEGMENT_NUMBERS = itertools.count()
+"""Segment-name sequence, shared by every store in the process: a name is
+never reused for the life of the process, so a pool worker's attachment
+cache (keyed by segment name) cannot serve a released store's planes to a
+later store."""
 
 
 class PlaneError(RuntimeError):
@@ -127,7 +134,6 @@ class PlaneStore:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         self._trace_manifests: WeakKeyDictionary = WeakKeyDictionary()
         self._batch_manifests: WeakKeyDictionary = WeakKeyDictionary()
-        self._counter = 0
         self._unavailable_reason: str | None = None
         # Reentrant: the SIGINT/SIGTERM cleanup runs release() on the main
         # thread and must not deadlock against an interrupted publish that
@@ -196,8 +202,8 @@ class PlaneStore:
             layout.append((name, array, offset))
             offset += array.nbytes
         total = max(offset, 1)
-        segment_name = f"{SEGMENT_PREFIX}-{self._owner_pid}-{self._counter}"
-        self._counter += 1
+        segment_name = (f"{SEGMENT_PREFIX}-{self._owner_pid}-"
+                        f"{next(_SEGMENT_NUMBERS)}")
         # The name is claimed BEFORE construction: the /dev/shm file exists
         # as soon as SharedMemory.__init__ calls shm_open, so a signal
         # landing inside the constructor (e.g. during its resource-tracker

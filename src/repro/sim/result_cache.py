@@ -89,6 +89,12 @@ what a simulation computes, so it may not change a cache key.  (Engine
 attributable even though their counts agree by contract.)"""
 
 
+_FLAT_TYPES = frozenset({int, bool, float, type(None)})
+"""Exact element types a list/tuple/deque may hold to be hashed through
+its ``repr`` in one pass instead of element by element (predictor tag and
+valid-bit tables run to 64K entries)."""
+
+
 def _trace_content_digest(trace: Trace) -> bytes:
     """Content hash of the four trace columns, memoized per trace object."""
     digest = _TRACE_HASHES.get(trace)
@@ -131,6 +137,10 @@ def _update(hasher, value, memo: dict[int, int]) -> None:
     elif isinstance(value, (list, tuple, deque)):
         tag = {list: b"\x00L", tuple: b"\x00T", deque: b"\x00D"}[type(value)]
         hasher.update(tag + str(len(value)).encode())
+        if set(map(type, value)) <= _FLAT_TYPES:
+            # One C-level pass: repr tells 1, True, 1.0 and None apart.
+            hasher.update(b"\x00F" + repr(value).encode())
+            return
         for item in value:
             _update(hasher, item, memo)
     elif isinstance(value, dict):
@@ -182,7 +192,7 @@ def result_key(predictor, trace: Trace, provider, warmup_branches: int,
     """
     hasher = hashlib.sha256()
     memo: dict[int, int] = {}
-    hasher.update(b"repro-result-v1")
+    hasher.update(b"repro-result-v2")
     _update(hasher, predictor, memo)
     hasher.update(b"\x00trace")
     hasher.update(_trace_content_digest(trace))

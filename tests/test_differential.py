@@ -123,8 +123,9 @@ def reference_walk(predictor, trace, provider, sink) -> np.ndarray:
 
 
 def fast_walk(predictor, trace, provider) -> np.ndarray:
-    """The strict batched replay with no sink attached: the fast kernel,
-    exactly like production sweeps."""
+    """The strict batched replay with no sink attached: the fast kernel
+    (for 2Bc-gskew the compiled ``replay2bc.c``), exactly like production
+    sweeps."""
     batch = provider.materialize(trace)
     assert batch is not None, "provider fell out of the batchable envelope"
     return predictor.batch_access(batch)

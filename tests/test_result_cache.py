@@ -12,7 +12,7 @@ import pytest
 from conftest import simple_loop_trace
 from repro.history.providers import BlockLghistProvider, BranchGhistProvider
 from repro.obs import Telemetry, use_telemetry
-from repro.predictors import GsharePredictor
+from repro.predictors import GsharePredictor, YagsPredictor
 from repro.sim import result_cache
 from repro.sim.driver import simulate
 from repro.sim.metrics import SimulationResult
@@ -96,6 +96,47 @@ class TestResultKey:
         second = simple_loop_trace(200, name="b")
         assert result_key(_gshare(), first, None, 0, "scalar") == \
             result_key(_gshare(), second, None, 0, "scalar")
+
+    def test_flat_scalar_lists_still_discriminate(self, trace):
+        """Flat int/bool/float/None sequences hash in one pass; one flipped
+        tag, or ``True`` stored where ``1`` was, still changes the key."""
+        def key(tags, valid):
+            predictor = YagsPredictor(1 << 6, 1 << 6, 6)
+            predictor.taken_cache._tags = tags
+            predictor.taken_cache._valid = valid
+            return result_key(predictor, trace, None, 0, "scalar")
+
+        tags, valid = [0] * 64, [False] * 64
+        base = key(tags, valid)
+        assert key(list(tags), list(valid)) == base
+        flipped = list(tags)
+        flipped[17] = 3
+        assert key(flipped, valid) != base
+        as_int, as_bool = list(tags), list(tags)
+        as_int[5], as_bool[5] = 1, True
+        assert key(as_int, valid) != key(as_bool, valid)
+        assert key(tags, [0] * 64) != base  # 0 is not False
+        assert key(tuple(tags), valid) != base  # the container type keys
+
+    def test_non_scalar_list_elements_hash_recursively(self, trace,
+                                                       monkeypatch):
+        calls = []
+        original = result_cache._update
+
+        def counting(hasher, value, memo):
+            calls.append(value)
+            original(hasher, value, memo)
+
+        monkeypatch.setattr(result_cache, "_update", counting)
+        marker = 987_654_321
+        predictor = _gshare()
+        predictor.extra = [marker, _gshare()]
+        result_key(predictor, trace, None, 0, "scalar")
+        assert marker in calls  # the element was visited on its own
+        calls.clear()
+        predictor.extra = [marker, 2, 3]
+        result_key(predictor, trace, None, 0, "scalar")
+        assert marker not in calls  # the flat list hashed in one pass
 
     def test_uncacheable_inputs_raise(self, trace):
         predictor = _gshare()

@@ -71,6 +71,33 @@ class TestDeterminism:
                           for name, stats in parallel_sink.spans.items()}
         assert serial_spans == parallel_spans
 
+    def test_released_store_never_serves_a_later_sweep(self):
+        """Two sweeps over different traces with the same name and length,
+        with the plane store released in between: the persistent workers
+        must attach the second sweep's planes, not their cached copies of
+        the first sweep's (segment names are never reused)."""
+        def same_shape(source: str) -> dict[str, Trace]:
+            trace = spec95_trace(source, 2_500)
+            cut = slice(0, 4_000)
+            return {"gcc": Trace("gcc", trace.starts[cut].copy(),
+                                 trace.num_instructions[cut].copy(),
+                                 trace.kinds[cut].copy(),
+                                 trace.takens[cut].copy(),
+                                 trace.next_starts[cut].copy())}
+
+        values = [4, 6]
+        for source in ("gcc", "compress"):
+            serial = sweep(history_predictor, values, same_shape(source),
+                           ev8_info_provider, engine="batched",
+                           use_cache=False)
+            parallel = sweep_parallel(history_predictor, values,
+                                      same_shape(source), ev8_info_provider,
+                                      engine="batched", max_workers=2,
+                                      use_cache=False)
+            assert [p.per_benchmark for p in parallel] \
+                == [p.per_benchmark for p in serial], source
+            planes.release_plane_store()
+
     def test_work_stealing_chunks_preserve_order(self):
         pool = scheduler.SweepScheduler(max_workers=3)
         payloads = list(range(23))
